@@ -40,8 +40,8 @@
 // handling; health and replication traffic always bypasses it. Shed
 // requests get HTTP 429 with a Retry-After hint, and — with -max-stale —
 // reads may instead be answered from recently invalidated cache entries,
-// marked by an X-Multilog-Stale header. -admission=false turns the
-// controller off (the benchmark baseline).
+// marked by an X-Multilog-Stale header. -max-inflight 0 turns the
+// controller off (the benchmark baseline), and brownout with it.
 //
 // # Replication
 //
@@ -135,7 +135,6 @@ type options struct {
 	maxSteps     int64
 	maxInflight  int
 	maxStale     time.Duration
-	admission    bool
 	quiet        bool
 	pprofAddr    string
 
@@ -169,7 +168,6 @@ func main() {
 	flag.Int64Var(&o.maxSteps, "max-steps", 0, "per-request evaluation-step budget (0 = unlimited)")
 	flag.IntVar(&o.maxInflight, "max-inflight", 64, "admission control: peak concurrent query/write cost units (0 = admission off)")
 	flag.DurationVar(&o.maxStale, "max-stale", 0, "brownout: serve invalidated cache entries up to this old while shedding (0 = never stale)")
-	flag.BoolVar(&o.admission, "admission", true, "enable adaptive admission control (false = admit everything)")
 	flag.BoolVar(&o.quiet, "quiet", false, "suppress the event log")
 	flag.StringVar(&o.pprofAddr, "pprof-addr", "", "serve net/http/pprof (/debug/pprof/*) on this address (empty = disabled)")
 	flag.StringVar(&o.dataDir, "data-dir", "", "durability directory for the WAL and checkpoints (empty = in-memory only)")
@@ -225,10 +223,8 @@ func baseConfig(o options) server.Config {
 		Limits:             resource.Limits{MaxFacts: o.maxFacts, MaxSteps: o.maxSteps},
 		CheckpointInterval: o.ckptInterval,
 		CheckpointEvery:    o.ckptEvery,
-	}
-	if o.admission {
-		cfg.MaxInflight = o.maxInflight
-		cfg.MaxStale = o.maxStale
+		MaxInflight:        o.maxInflight,
+		MaxStale:           o.maxStale,
 	}
 	if !o.quiet {
 		logger := log.New(os.Stderr, "multilogd: ", log.LstdFlags)

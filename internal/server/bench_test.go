@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -92,14 +93,78 @@ func BenchmarkServerQueryCached(b *testing.B) {
 	}
 }
 
+// globalInvalidation wraps srv's handler so that every acknowledged
+// effective assert or retract on db drops db's whole result cache before
+// the client sees the ack: the pre-incremental regime, kept here as the
+// baseline arm of BenchmarkWriteMixStorm.
+func globalInvalidation(srv *server.Server, db string) http.Handler {
+	h := srv.Handler()
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/assert" && r.URL.Path != "/v1/retract" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		var up server.UpdateResponse
+		if rec.Code == http.StatusOK && json.Unmarshal(rec.Body.Bytes(), &up) == nil && up.Changed > 0 {
+			srv.InvalidateAll(db, up.Epoch)
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes()) //nolint:errcheck // the client sees a short write
+	})
+}
+
+// TestGlobalInvalidationFallback exercises the baseline arm of the
+// write-mix benchmark: behind globalInvalidation, a write evicts even the
+// cached entries independent of it.
+func TestGlobalInvalidationFallback(t *testing.T) {
+	srv := server.New(server.Config{})
+	if err := srv.Load("test", `
+		level(l0). level(l1). order(l0, l1).
+		l0[emp(alice: salary -l0-> low)].
+		l0[dept(eng: head -l0-> alice)].
+	`); err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(globalInvalidation(srv, "test"))
+	defer hs.Close()
+	c := server.NewClient(hs.URL, hs.Client())
+	ctx := context.Background()
+	sess, err := c.Open(ctx, server.OpenRequest{Subject: "t", Clearance: "l1", DB: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func() *server.QueryResponse {
+		resp, err := c.QueryContext(ctx, server.QueryRequest{Session: sess.Session, Query: "l0[dept(K: head -C-> V)]"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	query()
+	if !query().Cached {
+		t.Fatal("prime query missed")
+	}
+	if _, err := c.Assert(ctx, sess.Session, "l0[emp(frank: salary -l0-> low)]."); err != nil {
+		t.Fatal(err)
+	}
+	if query().Cached {
+		t.Error("independent entry survived under global invalidation")
+	}
+}
+
 // BenchmarkWriteMixStorm drives a 90/10 read/write workload.ServerLoad
-// storm against both invalidation regimes: the per-predicate incremental
-// path (default) and the global nuke-the-cache baseline
-// (Config.GlobalInvalidation). Writes toggle a p0 fact, so under
-// per-predicate invalidation reads of the other predicates keep hitting the
-// cache while the baseline re-matches everything after every write. The
-// reported p50-read-ns is the client-observed read latency median — the
-// committed BENCH_incremental.json pins the ≥5x gap.
+// storm against both invalidation regimes: the server's per-predicate
+// incremental path and the global nuke-the-cache baseline
+// (globalInvalidation). Writes toggle a p0 fact, so under per-predicate
+// invalidation reads of the other predicates keep hitting the cache while
+// the baseline re-matches everything after every write. The reported
+// p50-read-ns is the client-observed read latency median — the committed
+// BENCH_incremental.json pins the ≥5x gap.
 func BenchmarkWriteMixStorm(b *testing.B) {
 	arms := []struct {
 		name   string
@@ -112,13 +177,15 @@ func BenchmarkWriteMixStorm(b *testing.B) {
 	shape := workload.ProgramConfig{Levels: 4, Facts: 1000, Rules: 8, Preds: 6, Seed: 7, Poly: 0.3}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
-			srv := server.New(server.Config{
-				CacheEntries: 4096, QueryTimeout: time.Minute, GlobalInvalidation: arm.global,
-			})
+			srv := server.New(server.Config{CacheEntries: 4096, QueryTimeout: time.Minute})
 			if err := srv.Load("bench", workload.ProgramSource(shape)); err != nil {
 				b.Fatal(err)
 			}
-			hs := httptest.NewServer(srv.Handler())
+			h := srv.Handler()
+			if arm.global {
+				h = globalInvalidation(srv, "bench")
+			}
+			hs := httptest.NewServer(h)
 			b.Cleanup(hs.Close)
 			hc := &http.Client{Timeout: time.Minute, Transport: &http.Transport{MaxIdleConnsPerHost: 128}}
 			c := server.NewClient(hs.URL, hc)

@@ -31,21 +31,13 @@ type resultCache struct {
 	by  map[string]*list.Element // key -> element
 	dbs map[string]*dbEpochs     // per-database invalidation state
 
-	// keepStale retains invalidated entries in a bounded side table for
+	// keepStale retains invalidated entries in the LRU, marked stale, for
 	// brownout serving (Config.MaxStale > 0): under shed, a read may be
-	// answered from a recently invalidated entry instead of rejected.
+	// answered from a recently invalidated entry instead of rejected. Get
+	// never serves a stale entry; only GetStale does.
 	keepStale bool
-	stale     map[string]*staleEntry
 
 	hits, misses, evictions, invalidations int64
-}
-
-// staleEntry is a brownout candidate: answers an invalidation dropped,
-// kept with the moment they went stale.
-type staleEntry struct {
-	db      string
-	at      time.Time
-	answers []map[string]string
 }
 
 // dbEpochs is one database's invalidation state: the load generation (part
@@ -63,11 +55,12 @@ type cacheEntry struct {
 	epoch   uint64   // snapshot epoch the answers were computed at
 	deps    []string // translated predicates the answers depend on
 	answers []map[string]string
+	staleAt time.Time // when an invalidation retained the entry; zero while fresh
 }
 
 // cacheKey builds the composite key. The components are length-prefixed so
 // no crafted query string can collide across fields. gen is the database's
-// load generation (or, under Config.GlobalInvalidation, the program epoch).
+// load generation.
 func cacheKey(db string, gen uint64, clearance, mode, query string) string {
 	var b strings.Builder
 	for _, part := range []string{db, strconv.FormatUint(gen, 10), clearance, mode, query} {
@@ -80,42 +73,39 @@ func cacheKey(db string, gen uint64, clearance, mode, query string) string {
 
 // newResultCache builds a cache holding up to capacity entries; capacity
 // <= 0 disables caching (every Get misses, every Put is dropped).
-func newResultCache(capacity int) *resultCache {
-	return &resultCache{cap: capacity, lru: list.New(), by: map[string]*list.Element{},
-		dbs: map[string]*dbEpochs{}, stale: map[string]*staleEntry{}}
+// keepStale retains invalidated entries for GetStale.
+func newResultCache(capacity int, keepStale bool) *resultCache {
+	return &resultCache{cap: capacity, keepStale: keepStale, lru: list.New(),
+		by: map[string]*list.Element{}, dbs: map[string]*dbEpochs{}}
 }
 
-// retire moves an invalidated entry into the stale side table (bounded by
-// the cache capacity; an arbitrary victim makes room). Callers hold c.mu.
-func (c *resultCache) retire(ent *cacheEntry, now time.Time) {
-	if !c.keepStale {
-		return
-	}
-	if len(c.stale) >= c.cap {
-		for k := range c.stale {
-			delete(c.stale, k)
-			break
-		}
-	}
-	c.stale[ent.key] = &staleEntry{db: ent.db, at: now, answers: ent.answers}
-}
-
-// GetStale returns the invalidated answers previously stored under key if
-// they went stale no longer than maxAge ago — the brownout read. Entries
-// past maxAge are dropped on probe.
-func (c *resultCache) GetStale(key string, maxAge time.Duration) ([]map[string]string, time.Duration, bool) {
+// GetStale returns the invalidated answers stored under key, the epoch they
+// were computed at and how long ago they went stale, if that is no longer
+// than maxAge — the brownout read. Entries past maxAge are dropped on
+// probe.
+func (c *resultCache) GetStale(key string, maxAge time.Duration) ([]map[string]string, uint64, time.Duration, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ent, ok := c.stale[key]
+	el, ok := c.by[key]
 	if !ok {
-		return nil, 0, false
+		return nil, 0, 0, false
 	}
-	age := time.Since(ent.at)
+	ent := el.Value.(*cacheEntry)
+	if ent.staleAt.IsZero() {
+		return nil, 0, 0, false
+	}
+	age := time.Since(ent.staleAt)
 	if age > maxAge {
-		delete(c.stale, key)
-		return nil, 0, false
+		c.remove(el)
+		return nil, 0, 0, false
 	}
-	return ent.answers, age, true
+	return ent.answers, ent.epoch, age, true
+}
+
+// remove unlinks an entry. Callers hold c.mu.
+func (c *resultCache) remove(el *list.Element) {
+	c.lru.Remove(el)
+	delete(c.by, el.Value.(*cacheEntry).key)
 }
 
 // epochs returns db's invalidation state, creating it on first use. Callers
@@ -136,12 +126,12 @@ func (c *resultCache) Generation(db string) uint64 {
 	return c.epochs(db).gen
 }
 
-// Get returns the cached answers for key, if present.
+// Get returns the cached answers for key, if present and fresh.
 func (c *resultCache) Get(key string) ([]map[string]string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.by[key]
-	if !ok {
+	if !ok || !el.Value.(*cacheEntry).staleAt.IsZero() {
 		c.misses++
 		return nil, false
 	}
@@ -171,17 +161,15 @@ func (c *resultCache) Put(key, db string, epoch uint64, deps []string, answers [
 			return
 		}
 	}
-	delete(c.stale, key) // a fresh result supersedes any brownout copy
 	if el, ok := c.by[key]; ok {
+		// A fresh result supersedes the old one, stale or not, in place.
 		c.lru.MoveToFront(el)
 		ent := el.Value.(*cacheEntry)
-		ent.epoch, ent.deps, ent.answers = epoch, deps, answers
+		ent.epoch, ent.deps, ent.answers, ent.staleAt = epoch, deps, answers, time.Time{}
 		return
 	}
 	for c.lru.Len() >= c.cap {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.by, oldest.Value.(*cacheEntry).key)
+		c.remove(c.lru.Back())
 		c.evictions++
 	}
 	c.by[key] = c.lru.PushFront(&cacheEntry{key: key, db: db, epoch: epoch, deps: deps, answers: answers})
@@ -202,15 +190,26 @@ func (c *resultCache) InvalidatePreds(db string, epoch uint64, preds []string) i
 			e.preds[p] = epoch
 		}
 	}
+	return c.invalidate(func(ent *cacheEntry) bool {
+		return ent.db == db && ent.epoch < epoch && dependsOn(ent.deps, touched)
+	})
+}
+
+// invalidate drops (or, under keepStale, marks stale) every fresh entry
+// matching hit and returns how many it invalidated. An entry already stale
+// keeps the moment it went stale. Callers hold c.mu.
+func (c *resultCache) invalidate(hit func(*cacheEntry) bool) int {
 	n := 0
 	now := time.Now()
 	for el := c.lru.Front(); el != nil; {
 		next := el.Next()
 		ent := el.Value.(*cacheEntry)
-		if ent.db == db && ent.epoch < epoch && dependsOn(ent.deps, touched) {
-			c.lru.Remove(el)
-			delete(c.by, ent.key)
-			c.retire(ent, now)
+		if ent.staleAt.IsZero() && hit(ent) {
+			if c.keepStale {
+				ent.staleAt = now
+			} else {
+				c.remove(el)
+			}
 			n++
 		}
 		el = next
@@ -236,7 +235,7 @@ func dependsOn(deps []string, touched map[string]bool) bool {
 // InvalidateAll drops every entry of db older than epoch and raises the
 // whole-database epoch floor, returning how many entries were dropped. The
 // update path uses it when a write's impact cannot be bounded (rule
-// changes) and under Config.GlobalInvalidation.
+// changes).
 func (c *resultCache) InvalidateAll(db string, epoch uint64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -244,21 +243,7 @@ func (c *resultCache) InvalidateAll(db string, epoch uint64) int {
 	if e.all < epoch {
 		e.all = epoch
 	}
-	n := 0
-	now := time.Now()
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		ent := el.Value.(*cacheEntry)
-		if ent.db == db && ent.epoch < epoch {
-			c.lru.Remove(el)
-			delete(c.by, ent.key)
-			c.retire(ent, now)
-			n++
-		}
-		el = next
-	}
-	c.invalidations += int64(n)
-	return n
+	return c.invalidate(func(ent *cacheEntry) bool { return ent.db == db && ent.epoch < epoch })
 }
 
 // Reset drops every entry of db, clears its epoch vector and bumps its
@@ -271,21 +256,17 @@ func (c *resultCache) Reset(db string) int {
 	e.gen++
 	e.all = 0
 	e.preds = map[string]uint64{}
-	// A reload changes what the predicates mean; its brownout copies are
-	// not merely stale but wrong.
-	for k, ent := range c.stale {
-		if ent.db == db {
-			delete(c.stale, k)
-		}
-	}
+	// A reload changes what the predicates mean, so stale entries go too:
+	// they are not merely stale but wrong. Only fresh ones count.
 	n := 0
 	for el := c.lru.Front(); el != nil; {
 		next := el.Next()
 		ent := el.Value.(*cacheEntry)
 		if ent.db == db {
-			c.lru.Remove(el)
-			delete(c.by, ent.key)
-			n++
+			if ent.staleAt.IsZero() {
+				n++
+			}
+			c.remove(el)
 		}
 		el = next
 	}

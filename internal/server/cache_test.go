@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"testing"
+	"time"
 )
 
 func ans(v string) []map[string]string {
@@ -10,7 +11,7 @@ func ans(v string) []map[string]string {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := newResultCache(2)
+	c := newResultCache(2, false)
 	k := func(i int) string { return cacheKey("db", 1, "s", "fir", fmt.Sprintf("q%d", i)) }
 
 	c.Put(k(0), "db", 1, nil, ans("a"))
@@ -34,7 +35,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheInvalidateAll(t *testing.T) {
-	c := newResultCache(16)
+	c := newResultCache(16, false)
 	c.Put(cacheKey("a", 1, "s", "fir", "q"), "a", 1, nil, ans("old"))
 	c.Put(cacheKey("a", 2, "s", "fir", "q"), "a", 2, nil, ans("new"))
 	c.Put(cacheKey("b", 1, "s", "fir", "q"), "b", 1, nil, ans("other"))
@@ -64,7 +65,7 @@ func TestCacheInvalidateAll(t *testing.T) {
 }
 
 func TestCacheInvalidatePreds(t *testing.T) {
-	c := newResultCache(16)
+	c := newResultCache(16, false)
 	kp := cacheKey("db", 1, "s", "fir", "p-query")
 	kq := cacheKey("db", 1, "s", "fir", "q-query")
 	kn := cacheKey("db", 1, "s", "fir", "no-deps")
@@ -105,7 +106,7 @@ func TestCacheInvalidatePreds(t *testing.T) {
 }
 
 func TestCacheReset(t *testing.T) {
-	c := newResultCache(16)
+	c := newResultCache(16, false)
 	if g := c.Generation("db"); g != 0 {
 		t.Fatalf("fresh generation = %d, want 0", g)
 	}
@@ -128,7 +129,7 @@ func TestCacheReset(t *testing.T) {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	c := newResultCache(0)
+	c := newResultCache(0, false)
 	key := cacheKey("db", 1, "s", "fir", "q")
 	c.Put(key, "db", 1, nil, ans("x"))
 	if _, ok := c.Get(key); ok {
@@ -146,5 +147,114 @@ func TestCacheKeyInjection(t *testing.T) {
 	b := cacheKey("db", 1, "s", "f", "irq")
 	if a == b {
 		t.Fatalf("distinct (mode, query) pairs collided: %q", a)
+	}
+}
+
+// TestCacheStale is the brownout half of the one-map cache: with
+// keepStale, an invalidated entry stays in the LRU marked stale. Each case
+// starts from one entry cached at epoch 3 and invalidated at epoch 4.
+func TestCacheStale(t *testing.T) {
+	key := cacheKey("db", 0, "s", "fir", "q")
+	cases := []struct {
+		name  string
+		check func(t *testing.T, c *resultCache)
+	}{
+		{"not served by Get, served by GetStale with its own epoch", func(t *testing.T, c *resultCache) {
+			if _, ok := c.Get(key); ok {
+				t.Error("Get served a stale entry")
+			}
+			answers, epoch, age, ok := c.GetStale(key, time.Minute)
+			if !ok || answers[0]["V"] != "old" {
+				t.Fatalf("GetStale = %v, %v; want the invalidated answers", answers, ok)
+			}
+			if epoch != 3 {
+				t.Errorf("stale epoch = %d, want 3 (the epoch it was computed at)", epoch)
+			}
+			if age < 0 || age > time.Minute {
+				t.Errorf("stale age = %v", age)
+			}
+			if st := c.Stats(); st.Misses != 1 || st.Hits != 0 || st.Invalidations != 1 {
+				t.Errorf("stats = %+v, want 1 miss, 0 hits, 1 invalidation", st)
+			}
+		}},
+		{"past maxAge it is dropped", func(t *testing.T, c *resultCache) {
+			time.Sleep(time.Millisecond)
+			if _, _, _, ok := c.GetStale(key, time.Nanosecond); ok {
+				t.Fatal("GetStale served an entry older than maxAge")
+			}
+			if _, _, _, ok := c.GetStale(key, time.Minute); ok {
+				t.Error("an expired stale entry survived its probe")
+			}
+			if st := c.Stats(); st.Entries != 0 {
+				t.Errorf("entries = %d, want 0", st.Entries)
+			}
+		}},
+		{"superseded in place by Put", func(t *testing.T, c *resultCache) {
+			c.Put(key, "db", 4, []string{"mlrel_p_l0"}, ans("new"))
+			got, ok := c.Get(key)
+			if !ok || got[0]["V"] != "new" {
+				t.Fatalf("Get after Put = %v, %v; want the fresh answers", got, ok)
+			}
+			if _, _, _, ok := c.GetStale(key, time.Minute); ok {
+				t.Error("GetStale served an entry a fresh Put superseded")
+			}
+			if st := c.Stats(); st.Entries != 1 {
+				t.Errorf("entries = %d, want 1 (replaced in place)", st.Entries)
+			}
+		}},
+		{"a refused Put leaves it stale", func(t *testing.T, c *resultCache) {
+			c.Put(key, "db", 3, []string{"mlrel_p_l0"}, ans("late"))
+			if _, ok := c.Get(key); ok {
+				t.Error("late Put from a superseded snapshot was accepted")
+			}
+			if answers, _, _, ok := c.GetStale(key, time.Minute); !ok || answers[0]["V"] != "old" {
+				t.Errorf("GetStale = %v, %v; want the stale answers kept", answers, ok)
+			}
+		}},
+		{"re-invalidation keeps it stale and counts nothing", func(t *testing.T, c *resultCache) {
+			_, _, before, _ := c.GetStale(key, time.Minute)
+			if n := c.InvalidateAll("db", 5); n != 0 {
+				t.Errorf("re-invalidating a stale entry counted %d", n)
+			}
+			if _, _, after, ok := c.GetStale(key, time.Minute); !ok || after < before {
+				t.Errorf("re-invalidation reset the stale age: %v -> %v (ok=%v)", before, after, ok)
+			}
+		}},
+		{"dropped by Reset", func(t *testing.T, c *resultCache) {
+			if n := c.Reset("db"); n != 0 {
+				t.Errorf("reset counted %d stale entries, want 0", n)
+			}
+			if _, _, _, ok := c.GetStale(key, time.Minute); ok {
+				t.Error("a stale entry survived a program reload")
+			}
+			if st := c.Stats(); st.Entries != 0 {
+				t.Errorf("entries = %d, want 0", st.Entries)
+			}
+		}},
+		{"counted against capacity", func(t *testing.T, c *resultCache) {
+			c.Put(cacheKey("db", 0, "s", "fir", "q1"), "db", 4, nil, ans("1"))
+			if st := c.Stats(); st.Entries != 2 || st.Evictions != 0 {
+				t.Fatalf("stats = %+v, want 2 entries (one stale), 0 evictions", st)
+			}
+			// The stale entry is the least recently used: the next Put into
+			// the full cache evicts it.
+			c.Put(cacheKey("db", 0, "s", "fir", "q2"), "db", 4, nil, ans("2"))
+			if st := c.Stats(); st.Entries != 2 || st.Evictions != 1 {
+				t.Errorf("stats = %+v, want 2 entries, 1 eviction", st)
+			}
+			if _, _, _, ok := c.GetStale(key, time.Minute); ok {
+				t.Error("the evicted stale entry is still served")
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newResultCache(2, true)
+			c.Put(key, "db", 3, []string{"mlrel_p_l0"}, ans("old"))
+			if n := c.InvalidatePreds("db", 4, []string{"mlrel_p_l0"}); n != 1 {
+				t.Fatalf("invalidated %d entries, want 1", n)
+			}
+			tc.check(t, c)
+		})
 	}
 }

@@ -215,7 +215,7 @@ func TestServerAssertRetractMetamorphic(t *testing.T) {
 
 // TestUpdateAdvancesPreparedReductions pins the model-reuse half of the
 // write path: a fact write must carry the warm per-clearance reductions into
-// the new snapshot (advanced incrementally), not discard them.
+// the new snapshot (rebuilt through the cached plan), not discard them.
 func TestUpdateAdvancesPreparedReductions(t *testing.T) {
 	s := newIncServer(t, Config{})
 	for _, cl := range []string{"l0", "l1"} {
@@ -239,29 +239,10 @@ func TestUpdateAdvancesPreparedReductions(t *testing.T) {
 	if n := warm(); n != 2 {
 		t.Fatalf("fact write dropped warm reductions: %d remain, want 2", n)
 	}
-	// The advanced models must answer correctly (the new fact is visible).
+	// The rebuilt models must answer correctly (the new fact is visible).
 	resp := runQuery(t, s, openSess(t, s, "l0", ""), "l0[emp(erin: salary -C-> V)]")
 	if len(resp.Answers) != 1 {
-		t.Fatalf("advanced reduction lost the written fact: %d answers", len(resp.Answers))
-	}
-}
-
-// TestGlobalInvalidationFallback exercises the baseline arm used by the
-// write-mix benchmark: with the knob on, every write evicts everything.
-func TestGlobalInvalidationFallback(t *testing.T) {
-	s := newIncServer(t, Config{GlobalInvalidation: true})
-	sess := openSess(t, s, "l1", "")
-	qDept := "l0[dept(K: head -C-> V)]"
-	runQuery(t, s, sess, qDept)
-	if got := runQuery(t, s, sess, qDept); !got.Cached {
-		t.Fatal("prime query missed")
-	}
-	up := runUpdate(t, s, sess, "l0[emp(frank: salary -l0-> low)].", false)
-	if up.Incremental {
-		t.Error("GlobalInvalidation must not report incremental invalidation")
-	}
-	if got := runQuery(t, s, sess, qDept); got.Cached {
-		t.Error("independent entry survived under GlobalInvalidation")
+		t.Fatalf("rebuilt reduction lost the written fact: %d answers", len(resp.Answers))
 	}
 }
 

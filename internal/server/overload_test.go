@@ -336,28 +336,54 @@ func TestBrownoutServesStale(t *testing.T) {
 	}
 	baseline := len(warm.Answers)
 
-	// Invalidate the cached answer: the entry retires into the brownout
-	// side table instead of vanishing.
-	if _, err := c.Assert(bg, sess.Session, "l0[p0(brown: a -l0-> v0)]."); err != nil {
-		t.Fatal(err)
+	// Invalidate the cached answer: the entry stays in the cache, marked
+	// stale, instead of vanishing. invalidate remembers the write's epoch:
+	// every brownout answer was computed before it.
+	var writeEpoch uint64
+	invalidate := func() {
+		up, err := c.Assert(bg, sess.Session, "l0[p0(brown: a -l0-> v0)].")
+		if err != nil {
+			t.Fatalf("invalidating assert: %v", err)
+		}
+		writeEpoch = up.Epoch
 	}
+	invalidate()
 
-	// Saturate: a flood of distinct (uncached) queries, each stalled 50ms
-	// inside its admitted span, keeps the limiter full and the queue deep.
+	// Saturate: a flood of distinct (uncached) queries keeps the limiter
+	// full and the queue deep. Each flood request holds pause's read lock,
+	// so a re-invalidation write can stop the flood and run on an idle
+	// controller: a cost-8 write exceeds the cost-4 limit and is admitted
+	// only then.
 	floodCtx, stopFlood := context.WithCancel(bg)
 	defer stopFlood()
 	var flood sync.WaitGroup
+	var pause sync.RWMutex
 	for i := 0; i < 32; i++ {
 		flood.Add(1)
 		go func(i int) {
 			defer flood.Done()
 			for n := 0; floodCtx.Err() == nil; n++ {
+				pause.RLock()
 				c.QueryContext(floodCtx, server.QueryRequest{ //nolint:errcheck // shed/timeouts expected
 					Session: sess.Session,
 					Query:   fmt.Sprintf("l3[p1(flood%d_%d: a -l0-> V)]", i, n),
 				})
+				pause.RUnlock()
 			}
 		}(i)
+	}
+
+	deadline := time.Now().Add(15 * time.Second)
+	// awaitShedding blocks until the flood is being shed, so the next
+	// probe meets a saturated controller.
+	awaitShedding := func() {
+		shed := srv.Stats().Admission.Shed
+		for srv.Stats().Admission.Shed == shed {
+			if time.Now().After(deadline) {
+				t.Fatalf("the flood never saturated admission: %+v", srv.Stats().Admission)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 
 	// Probe the invalidated query raw so the response headers are visible.
@@ -381,8 +407,8 @@ func TestBrownoutServesStale(t *testing.T) {
 		return &qr, resp.Header.Get("X-Multilog-Stale"), nil
 	}
 
-	deadline := time.Now().Add(15 * time.Second)
 	for {
+		awaitShedding()
 		resp, header, err := probe()
 		if err == nil && resp.StaleMS > 0 {
 			// The brownout answer: marked stale in the body and on the wire,
@@ -399,20 +425,26 @@ func TestBrownoutServesStale(t *testing.T) {
 			if n := len(resp.Answers); n != baseline && n != baseline+1 {
 				t.Errorf("stale answer has %d rows, want the invalidated %d or %d", n, baseline, baseline+1)
 			}
+			if resp.Epoch >= writeEpoch {
+				t.Errorf("stale answer reports epoch %d, want the epoch it was computed at, below the invalidating write's %d",
+					resp.Epoch, writeEpoch)
+			}
 			break
 		}
-		if err == nil && resp.StaleMS == 0 && resp.Cached {
-			// The probe was admitted and re-cached a fresh answer; push it
-			// back into the stale table and try again.
-			if _, aerr := c.Assert(bg, sess.Session, "l0[p0(brown: a -l0-> v0)]."); aerr != nil && time.Now().After(deadline) {
-				t.Fatalf("re-invalidation assert: %v", aerr)
-			}
+		if err == nil && resp.StaleMS == 0 {
+			// The probe was admitted, or hit the answer an admitted probe
+			// re-cached; pause the flood, push the answer back to stale and
+			// try again.
+			func() {
+				pause.Lock()
+				defer pause.Unlock()
+				invalidate()
+			}()
 		}
 		if time.Now().After(deadline) {
 			st, _ := c.Stats(bg)
 			t.Fatalf("no brownout answer within deadline (last err=%v, admission=%+v)", err, st.Admission)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 
 	stopFlood()

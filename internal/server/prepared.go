@@ -104,13 +104,14 @@ func (p *preparedProgram) current() *snapshot {
 }
 
 // reductionAt returns the snapshot's prepared reduction for one clearance,
-// compiling it on first use. Compilation (parse-free: the database is
-// already in memory) runs Reduce plus an eager model build under limits,
-// so a hostile program cannot wedge the first query at a level forever.
-// The model build goes through the compiled engine (compile.
-// PrepareReduction): its plan cache is keyed by the reduced program's
-// rules, so re-preparing after a fact-only write reuses the plan, and
-// programs the compiler routes to the interpreter fall back transparently.
+// building it on first use. It is the server's one way to materialize a
+// model: Reduce (parse-free: the database is already in memory) plus an
+// eager model build through the compiled engine (compile.
+// PrepareReduction) under ctx and limits, so a hostile program cannot wedge
+// the first query at a level forever. The plan cache is keyed by the
+// reduced program's rules, so rebuilding after a fact-only write re-runs
+// the cached plan over the new facts, and programs the compiler routes to
+// the interpreter fall back transparently.
 func (s *snapshot) reductionAt(ctx context.Context, u lattice.Label, limits resource.Limits) (*multilog.Reduction, error) {
 	s.redMu.RLock()
 	red := s.reductions[u]
@@ -231,7 +232,7 @@ func (p *preparedProgram) update(src string, clearance lattice.Label, retract bo
 	}
 	inv := p.planInvalidation(cur, snap, deltaClauses)
 	p.invalidatePlans(cur, inv)
-	p.advanceReductions(cur, snap, &inv)
+	p.advanceReductions(cur, snap)
 	if commit != nil {
 		if err := commit(); err != nil {
 			return 0, 0, none, err
@@ -248,9 +249,8 @@ func (p *preparedProgram) update(src string, clearance lattice.Label, retract bo
 // everything (rule changes, or an impact the server could not bound) or the
 // listed translated predicates, at any clearance.
 type invalidation struct {
-	all      bool
-	preds    []string
-	advanced int // prepared reductions advanced incrementally into the new snapshot
+	all   bool
+	preds []string
 }
 
 // planInvalidation bounds the write's blast radius. For fact-only deltas it
@@ -329,33 +329,21 @@ func (s *snapshot) impactGraph() (*multilog.ImpactGraph, error) {
 	return s.impact, nil
 }
 
-// advanceReductions carries cur's prepared reductions into the new snapshot
-// by incremental delta application (multilog.AdvanceFrom), so a write no
-// longer discards every materialized model: the next query at an already-
-// warm clearance matches against an up-to-date model instead of paying a
-// full re-derivation. A reduction that fails to advance (resource limits,
-// reduce errors) is simply not carried; the next query at that clearance
-// rebuilds it lazily, exactly as before.
-func (p *preparedProgram) advanceReductions(cur, snap *snapshot, inv *invalidation) {
+// advanceReductions rebuilds on the new snapshot every reduction that was
+// warm on cur (reductionAt), so a write never leaves a warm clearance to pay
+// the build on its next query. After a fact-only write the rule set is
+// unchanged and each rebuild re-runs the cached plan.
+func (p *preparedProgram) advanceReductions(cur, snap *snapshot) {
 	cur.redMu.RLock()
-	olds := make(map[lattice.Label]*multilog.Reduction, len(cur.reductions))
-	for u, red := range cur.reductions {
-		olds[u] = red
+	warm := make([]lattice.Label, 0, len(cur.reductions))
+	for u := range cur.reductions {
+		warm = append(warm, u)
 	}
 	cur.redMu.RUnlock()
-	for u, old := range olds {
-		red, err := multilog.Reduce(snap.db, u)
-		if err != nil {
-			continue
-		}
-		rep, err := red.AdvanceFrom(context.Background(), old, p.limits)
-		if err != nil {
-			continue
-		}
-		if rep.Incremental {
-			inv.advanced++
-		}
-		snap.reductions[u] = red
+	for _, u := range warm {
+		// A failed build (resource limits, reduce errors) leaves u cold on
+		// snap; its next query rebuilds it lazily.
+		_, _ = snap.reductionAt(context.Background(), u, p.limits)
 	}
 }
 

@@ -169,7 +169,7 @@ type StatsResponse struct {
 	// follower and the router all report their replication view here.
 	Replication *ReplicationStats `json:"replication,omitempty"`
 	// Admission is nil when the admission controller is disabled
-	// (-admission=off / Config.MaxInflight == 0).
+	// (-max-inflight 0 / Config.MaxInflight == 0).
 	Admission *AdmissionStats `json:"admission,omitempty"`
 }
 
@@ -335,7 +335,7 @@ type CacheStats struct {
 	Misses        int64 `json:"misses"`
 	Evictions     int64 `json:"evictions"`
 	Invalidations int64 `json:"invalidations"`
-	Entries       int   `json:"entries"`
+	Entries       int   `json:"entries"` // fresh and brownout-stale entries alike
 	Capacity      int   `json:"capacity"`
 }
 

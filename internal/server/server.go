@@ -11,18 +11,25 @@
 //     (assert/retract clones the database, re-lints, and swaps a pointer;
 //     readers never block on writers);
 //   - compiled reductions: per (snapshot, clearance), the §6 reduction and
-//     its materialized minimal model are built once and shared read-only by
-//     every session at that clearance (multilog.Prepare/QueryPrepared), so
-//     the hot path is match-only;
-//   - result cache: complete answers keyed by (database, program epoch,
-//     clearance, belief mode, effective query); an update bumps the epoch,
-//     which makes every stale entry unreachable before any query can see
-//     the new program.
+//     its materialized minimal model are built once, through the compiled
+//     engine, and shared read-only by every session at that clearance
+//     (QueryPrepared), so the hot path is match-only. A write rebuilds
+//     every warm clearance on the new snapshot the same way; after a
+//     fact-only write that re-runs the cached plan;
+//   - result cache: complete answers keyed by (database, load generation,
+//     clearance, belief mode, effective query), one LRU. Each entry
+//     records the translated predicates its answers depend on, and a write
+//     invalidates only the entries its impact reaches (everything, for a
+//     rule write) before any query can see the new program. Under brownout
+//     an invalidated entry stays in the LRU marked stale.
 //
 // Every request runs under the internal/resource governor: per-request
 // wall-clock deadlines plus fact/step budgets, with typed errors, and
-// panic containment at the handler boundary. Admission control is a
-// concurrent-session cap with a typed overload error.
+// panic containment at the handler boundary. Overload protection is an
+// adaptive, cost-aware admission controller (internal/admission) in front
+// of queries and writes, shedding with a typed 429 and, with MaxStale,
+// answering shed reads from stale cache entries; a concurrent-session cap
+// bounds sessions with a typed overload error.
 package server
 
 import (
@@ -59,9 +66,6 @@ type Config struct {
 	// QueryTimeout is the per-request wall-clock ceiling. Requests may ask
 	// for less, never more. Default 10s; negative means no deadline.
 	QueryTimeout time.Duration
-	// PrepareTimeout bounds compiling a reduction (model materialization)
-	// for a clearance's first query. Default 30s.
-	PrepareTimeout time.Duration
 	// Limits is the per-request resource budget ceiling (facts/steps/
 	// memory); requests may tighten it. Zero fields are unlimited.
 	Limits resource.Limits
@@ -81,13 +85,6 @@ type Config struct {
 	// CheckpointEvery also triggers a checkpoint after that many records
 	// accumulate past the last one. Default 1024; negative disables.
 	CheckpointEvery int64
-	// GlobalInvalidation restores the pre-incremental cache behavior:
-	// result keys include the program epoch (so every update makes all
-	// prior entries unreachable) and every effective write invalidates the
-	// whole database's cache. It exists as the baseline arm of the write-mix
-	// benchmark and as an emergency fallback; leave it false to invalidate
-	// per predicate.
-	GlobalInvalidation bool
 	// Role selects primary (default: accepts writes) or follower (read
 	// replica: writes fail with *NotPrimaryError until Promote). A follower
 	// requires WAL — its mirrored log is its durability and its claim to
@@ -136,9 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueryTimeout < 0 {
 		c.QueryTimeout = 0 // no deadline
-	}
-	if c.PrepareTimeout == 0 {
-		c.PrepareTimeout = 30 * time.Second
 	}
 	if c.CheckpointInterval == 0 {
 		c.CheckpointInterval = 30 * time.Second
@@ -205,7 +199,9 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		sessions: newSessionManager(cfg.MaxSessions),
-		cache:    newResultCache(cfg.CacheEntries),
+		// Brownout answers only ever replace a shed, so without admission
+		// there is nothing to keep stale entries for.
+		cache:    newResultCache(cfg.CacheEntries, cfg.MaxStale > 0 && cfg.MaxInflight > 0),
 		start:    time.Now(),
 		programs: map[string]*preparedProgram{},
 		wal:      cfg.WAL,
@@ -220,7 +216,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxInflight > 0 {
 		s.adm = admission.New(admission.Config{MaxInflight: cfg.MaxInflight})
 	}
-	s.cache.keepStale = cfg.MaxStale > 0
 	return s
 }
 
@@ -371,14 +366,9 @@ func (s *Server) Query(ctx context.Context, sess *Session, req QueryRequest) (*Q
 	}
 	canonical := multilog.Query(goals).String()
 
-	// Per-predicate invalidation keys entries by load generation, so they
-	// survive epochs their deps are untouched by; the global-invalidation
-	// fallback keys by epoch, so every update orphans all prior entries.
-	keyGen := gen
-	if s.cfg.GlobalInvalidation {
-		keyGen = snap.epoch
-	}
-	key := cacheKey(sess.DB, keyGen, string(sess.Clearance), modeKey, canonical)
+	// Entries are keyed by load generation, not epoch, so they survive the
+	// writes their deps are untouched by.
+	key := cacheKey(sess.DB, gen, string(sess.Clearance), modeKey, canonical)
 	if answers, ok := s.cache.Get(key); ok {
 		s.queries.Add(1)
 		return &QueryResponse{Answers: answers, Query: canonical, Cached: true, Epoch: snap.epoch}, nil
@@ -400,7 +390,7 @@ func (s *Server) Query(ctx context.Context, sess *Session, req QueryRequest) (*Q
 	if aerr != nil {
 		var shed *admission.OverloadError
 		if errors.As(aerr, &shed) {
-			if resp := s.staleResponse(key, canonical, snap.epoch); resp != nil {
+			if resp := s.staleResponse(key, canonical); resp != nil {
 				s.queries.Add(1)
 				return resp, nil
 			}
@@ -438,11 +428,7 @@ func (s *Server) Query(ctx context.Context, sess *Session, req QueryRequest) (*Q
 		return nil, err
 	}
 	rendered := renderAnswers(answers)
-	var deps []string
-	if !s.cfg.GlobalInvalidation {
-		deps = red.QueryDeps(goals)
-	}
-	s.cache.Put(key, sess.DB, snap.epoch, deps, rendered)
+	s.cache.Put(key, sess.DB, snap.epoch, red.QueryDeps(goals), rendered)
 	s.queries.Add(1)
 	return &QueryResponse{Answers: rendered, Query: canonical, Epoch: snap.epoch, Stats: stats}, nil
 }
@@ -497,26 +483,32 @@ func (s *Server) Update(ctx context.Context, sess *Session, req UpdateRequest, r
 	invalidated := 0
 	resp := &UpdateResponse{Epoch: epoch, Changed: changed, Seq: seq}
 	if changed > 0 {
-		if s.cfg.GlobalInvalidation || inv.all {
-			invalidated = s.cache.InvalidateAll(sess.DB, epoch)
-		} else {
-			invalidated = s.cache.InvalidatePreds(sess.DB, epoch, inv.preds)
+		invalidated = s.invalidate(sess.DB, epoch, inv)
+		scope := "all predicates"
+		if !inv.all {
 			resp.ChangedPreds = inv.preds
 			resp.Incremental = true
+			scope = fmt.Sprintf("%d predicate(s)", len(inv.preds))
 		}
 		verb := "assert"
 		if retract {
 			verb = "retract"
 		}
-		scope := "all predicates"
-		if !inv.all {
-			scope = fmt.Sprintf("%d predicate(s)", len(inv.preds))
-		}
-		s.logf("%s %s by %s@%s: %d clause(s), epoch %d, %d cache entries invalidated (%s, %d reduction(s) advanced)",
-			verb, sess.DB, sess.Subject, sess.Clearance, changed, epoch, invalidated, scope, inv.advanced)
+		s.logf("%s %s by %s@%s: %d clause(s), epoch %d, %d cache entries invalidated (%s)",
+			verb, sess.DB, sess.Subject, sess.Clearance, changed, epoch, invalidated, scope)
 	}
 	resp.Invalidated = invalidated
 	return resp, nil
+}
+
+// invalidate drops the result-cache entries an effective update of db at
+// epoch could have changed — everything, or the entries depending on the
+// impacted predicates — and returns how many.
+func (s *Server) invalidate(db string, epoch uint64, inv invalidation) int {
+	if inv.all {
+		return s.cache.InvalidateAll(db, epoch)
+	}
+	return s.cache.InvalidatePreds(db, epoch, inv.preds)
 }
 
 // Stats snapshots every counter for /v1/stats.
@@ -540,15 +532,16 @@ func (s *Server) Stats() StatsResponse {
 	}
 }
 
-// staleResponse answers a shed read from the brownout side table when a
-// recently invalidated copy of exactly this query's answers exists and is
-// no older than Config.MaxStale. nil means no brownout answer: the caller
-// propagates the overload rejection.
-func (s *Server) staleResponse(key, canonical string, epoch uint64) *QueryResponse {
+// staleResponse answers a shed read from the result cache when a recently
+// invalidated copy of exactly this query's answers exists and is no older
+// than Config.MaxStale. The answer carries the epoch it was computed at,
+// which precedes the write that invalidated it. nil means no brownout
+// answer: the caller propagates the overload rejection.
+func (s *Server) staleResponse(key, canonical string) *QueryResponse {
 	if s.cfg.MaxStale <= 0 {
 		return nil
 	}
-	answers, age, ok := s.cache.GetStale(key, s.cfg.MaxStale)
+	answers, epoch, age, ok := s.cache.GetStale(key, s.cfg.MaxStale)
 	if !ok {
 		return nil
 	}
@@ -661,8 +654,8 @@ func (s *Server) requestLimits(req QueryRequest) resource.Limits {
 	return l
 }
 
-// prepLimits bounds reduction compilation: the server budget under the
-// prepare timeout's context (applied by reductionAt's caller-side ctx).
+// prepLimits bounds reduction builds by the server budget; the request
+// context's deadline bounds them in time.
 func (s *Server) prepLimits() resource.Limits { return s.cfg.Limits }
 
 func (s *Server) logf(format string, args ...any) {

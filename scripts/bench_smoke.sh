@@ -3,6 +3,8 @@
 #
 # 1. BenchmarkWriteMixStorm: gate the cached-read p50 ratio between the
 #    per-predicate incremental arm and the global nuke-the-cache baseline.
+#    The baseline lives in the benchmark: a handler wrapper drops the whole
+#    result cache after every acknowledged write.
 # 2. BenchmarkOperationalVsReduction: gate the model-construction time
 #    ratio between the interpreted reduction arm and the compiled engine
 #    at the largest fact count (smaller sizes are fixed-cost-dominated;
